@@ -290,7 +290,6 @@ pub fn run_case_with(case: &BenchCase, profile: bool) -> SolveReport {
         nodes_per_sec: per_sec(stats.nodes),
         propagation_events_per_sec: per_sec(stats.propagation_events),
         stats,
-        events: None,
         journal_dropped: None,
     }
 }
@@ -651,7 +650,6 @@ mod tests {
             decisions: 1,
             wall_ms,
             stats: Default::default(),
-            events: None,
             journal_dropped: None,
             nodes_per_sec: None,
             propagation_events_per_sec: None,

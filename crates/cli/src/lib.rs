@@ -38,9 +38,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use recopack_core::{
-    pareto_front_with_stats, per_second, Bmp, EventTotals, Fanout, FileJournal, Opp,
-    ProgressCounters, Sampler, SolveOutcome, SolveReport, SolverConfig, SolverStats, Spp,
-    Telemetry, TelemetrySink, SAMPLER_DEFAULT_HZ,
+    pareto_front_with_stats, per_second, Bmp, FileJournal, Opp, Sampler, SolveOutcome, SolveReport,
+    SolverConfig, SolverStats, Spp, Telemetry, SAMPLER_DEFAULT_HZ,
 };
 use recopack_model::{benchmarks, format, render, Chip, Instance, Placement};
 
@@ -449,7 +448,6 @@ struct ReportMeta<'a> {
     outcome: String,
     decisions: u32,
     started: Instant,
-    events: Option<EventTotals>,
     journal_dropped: Option<u64>,
 }
 
@@ -474,7 +472,6 @@ fn write_report(
         nodes_per_sec: per_sec(stats.nodes),
         propagation_events_per_sec: per_sec(stats.propagation_events),
         stats: stats.clone(),
-        events: meta.events,
         journal_dropped: meta.journal_dropped,
     };
     let mut text = report.to_json();
@@ -482,21 +479,24 @@ fn write_report(
     std::fs::write(path, text).map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))
 }
 
-/// The per-solve observability session: the `--trace` NDJSON journal, the
-/// event counters backing `--progress` and the report's `events` totals,
-/// and the live reporter thread. [`finish`] tears everything down and
-/// returns what belongs in the [`SolveReport`].
+/// The per-solve observability session: the `--trace` NDJSON journal and
+/// the live `--progress` reporter, which reads the solver configuration's
+/// live statistics snapshot. [`finish`] tears everything down and returns
+/// the journal's dropped count for the [`SolveReport`].
 ///
 /// [`finish`]: TraceSession::finish
 struct TraceSession {
     journal: Option<Arc<FileJournal>>,
-    counters: Option<Arc<ProgressCounters>>,
     reporter: Option<progress::Reporter>,
     trace_path: Option<String>,
 }
 
 impl TraceSession {
-    fn start(options: &Options, instance: &Instance) -> Result<Self, CliError> {
+    /// Starts the session and returns it with the solver configuration to
+    /// run under it: the journal (if any) installed as the only telemetry
+    /// sink, the reporter reading the configuration's cancel token.
+    fn start(options: &Options, instance: &Instance) -> Result<(Self, SolverConfig), CliError> {
+        let mut config = options.solver_config();
         let journal = match &options.trace {
             Some(path) => Some(Arc::new(
                 FileJournal::create(std::path::Path::new(path)).map_err(|e| {
@@ -505,70 +505,47 @@ impl TraceSession {
             )),
             None => None,
         };
-        // Counters ride along whenever any observability was requested, so
-        // the stats report can carry event totals.
-        let counters = (journal.is_some() || options.progress.is_some())
-            .then(|| Arc::new(ProgressCounters::new()));
-        let reporter = match (&counters, options.progress) {
-            (Some(counters), Some(interval)) => {
-                // A bare `--progress` is pointless when stderr is piped; an
-                // explicit interval is taken as "I know what I'm doing".
-                if interval.is_some() || std::io::stderr().is_terminal() {
-                    let n = instance.task_count() as u64;
-                    let total_slots = 3 * n * n.saturating_sub(1) / 2;
-                    Some(progress::Reporter::start(
-                        counters.clone(),
-                        Duration::from_millis(interval.unwrap_or(200).max(1)),
-                        total_slots,
-                    ))
-                } else {
-                    None
-                }
+        if let Some(journal) = &journal {
+            config.telemetry = Telemetry::to(journal.clone());
+        }
+        // A bare `--progress` is pointless when stderr is piped; an
+        // explicit interval is taken as "I know what I'm doing".
+        let reporter = match options.progress {
+            Some(interval) if interval.is_some() || std::io::stderr().is_terminal() => {
+                let n = instance.task_count() as u64;
+                let total_slots = 3 * n * n.saturating_sub(1) / 2;
+                Some(progress::Reporter::start(
+                    config.cancel.clone(),
+                    Duration::from_millis(interval.unwrap_or(200).max(1)),
+                    total_slots,
+                ))
             }
             _ => None,
         };
-        Ok(Self {
+        let session = Self {
             journal,
-            counters,
             reporter,
             trace_path: options.trace.clone(),
-        })
+        };
+        Ok((session, config))
     }
 
-    /// The telemetry handle to install into the solver configuration.
-    fn telemetry(&self) -> Telemetry {
-        let mut sinks: Vec<Arc<dyn TelemetrySink>> = Vec::new();
-        if let Some(journal) = &self.journal {
-            sinks.push(journal.clone());
-        }
-        if let Some(counters) = &self.counters {
-            sinks.push(counters.clone());
-        }
-        match sinks.len() {
-            0 => Telemetry::none(),
-            1 => Telemetry::to(sinks.remove(0)),
-            _ => Telemetry::to(Arc::new(Fanout::new(sinks))),
-        }
-    }
-
-    /// Stops the reporter, flushes the journal, and returns the event
-    /// totals and the journal's dropped count for the stats report.
-    fn finish(mut self) -> Result<(Option<EventTotals>, Option<u64>), CliError> {
+    /// Stops the reporter, flushes the journal, and returns the journal's
+    /// dropped count for the stats report.
+    fn finish(mut self) -> Result<Option<u64>, CliError> {
         if let Some(reporter) = self.reporter.take() {
             reporter.finish();
         }
-        let totals = self.counters.as_ref().map(|c| c.snapshot());
-        let dropped = match &self.journal {
+        match &self.journal {
             Some(journal) => {
                 journal.flush().map_err(|e| {
                     let path = self.trace_path.as_deref().unwrap_or("<trace>");
                     CliError::runtime(format!("cannot write trace file {path}: {e}"))
                 })?;
-                Some(journal.dropped())
+                Ok(Some(journal.dropped()))
             }
-            None => None,
-        };
-        Ok((totals, dropped))
+            None => Ok(None),
+        }
     }
 }
 
@@ -660,13 +637,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         [] | ["help"] => out.push_str(USAGE),
         ["solve", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
+            let (session, config) = TraceSession::start(&options, &instance)?;
             let sampling = SampleSession::start(&options);
             let started = Instant::now();
-            let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
             let (outcome, stats) = Opp::new(&instance).with_config(config).solve_with_stats();
-            let (events, journal_dropped) = session.finish()?;
+            let journal_dropped = session.finish()?;
             sampling.finish(&mut out)?;
             let label = match &outcome {
                 SolveOutcome::Feasible(_) => "feasible".to_string(),
@@ -681,7 +656,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: label,
                     decisions: 1,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &stats,
@@ -708,13 +682,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         ["bmp", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
+            let (session, config) = TraceSession::start(&options, &instance)?;
             let sampling = SampleSession::start(&options);
             let started = Instant::now();
-            let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
             let result = Bmp::new(&instance).with_config(config).solve();
-            let (events, journal_dropped) = session.finish()?;
+            let journal_dropped = session.finish()?;
             sampling.finish(&mut out)?;
             let result = result.ok_or_else(|| {
                 CliError::runtime("no chip admits the deadline (critical path too long)")
@@ -727,7 +699,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: format!("side {}", result.side),
                     decisions: result.decisions,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &result.stats,
@@ -745,13 +716,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         ["spp", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
+            let (session, config) = TraceSession::start(&options, &instance)?;
             let sampling = SampleSession::start(&options);
             let started = Instant::now();
-            let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
             let result = Spp::new(&instance).with_config(config).solve();
-            let (events, journal_dropped) = session.finish()?;
+            let journal_dropped = session.finish()?;
             sampling.finish(&mut out)?;
             let result = result
                 .ok_or_else(|| CliError::runtime("some module does not fit the chip spatially"))?;
@@ -763,7 +732,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: format!("makespan {}", result.makespan),
                     decisions: result.decisions,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &result.stats,
@@ -780,13 +748,11 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         ["pareto", path] => {
             let instance = load_instance(path, &options)?;
-            let session = TraceSession::start(&options, &instance)?;
+            let (session, config) = TraceSession::start(&options, &instance)?;
             let sampling = SampleSession::start(&options);
             let started = Instant::now();
-            let mut config = options.solver_config();
-            config.telemetry = session.telemetry();
             let result = pareto_front_with_stats(&instance, &config);
-            let (events, journal_dropped) = session.finish()?;
+            let journal_dropped = session.finish()?;
             sampling.finish(&mut out)?;
             let (front, stats, decisions) =
                 result.ok_or_else(|| CliError::runtime("resource limit reached"))?;
@@ -798,7 +764,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                     outcome: format!("{} pareto points", front.len()),
                     decisions,
                     started,
-                    events,
                     journal_dropped,
                 },
                 &stats,
@@ -1146,7 +1111,10 @@ mod tests {
             run(&args(&[command, p, "--stats-json", rp])).expect("runs");
             let json = std::fs::read_to_string(&report_path).expect("report written");
             assert!(
-                json.starts_with("{\"schema_version\":2"),
+                json.starts_with(&format!(
+                    "{{\"schema_version\":{}",
+                    recopack_core::TELEMETRY_SCHEMA_VERSION
+                )),
                 "{command}: {json}"
             );
             assert!(
@@ -1157,8 +1125,9 @@ mod tests {
             assert!(json.contains("\"conflicts\":{"), "{command}: {json}");
             assert!(json.contains("\"depth_histogram\":["), "{command}: {json}");
             assert!(json.contains("\"timings\":{"), "{command}: {json}");
-            // No trace session was active, so the optional fields are null.
-            assert!(json.contains("\"events\":null"), "{command}: {json}");
+            // No trace session was active, so the journal field is null;
+            // search counts appear only under `stats`.
+            assert!(!json.contains("\"events\""), "{command}: {json}");
             assert!(
                 json.contains("\"journal_dropped\":null"),
                 "{command}: {json}"
@@ -1223,16 +1192,28 @@ mod tests {
             Json::parse(line).expect("valid NDJSON line");
         }
 
-        // The stats report carries event totals and the dropped count.
+        // The stats report carries the journal's dropped count; search
+        // counts live in `stats` alone (no duplicate event totals).
         let report = Json::parse(
             std::fs::read_to_string(&report_path)
                 .expect("report written")
                 .trim(),
         )
         .expect("report parses");
-        let events = report.get("events").expect("events totals present");
-        let branches = events.get("branch").and_then(Json::as_u64).expect("branch");
-        assert!(branches > 0);
+        assert_eq!(report.get("events"), None, "one source for search counts");
+        let nodes = report
+            .get("stats")
+            .and_then(|s| s.get("nodes"))
+            .and_then(Json::as_u64)
+            .expect("stats.nodes");
+        let branches = ndjson
+            .lines()
+            .filter(|l| l.contains("\"event\":\"branch\""))
+            .count() as u64;
+        assert!(
+            nodes > 0 && branches >= nodes,
+            "{nodes} nodes, {branches} branches"
+        );
         assert_eq!(
             report.get("journal_dropped").and_then(Json::as_u64),
             Some(0)

@@ -1,5 +1,7 @@
 //! The live `--progress` reporter: a sampler thread that periodically reads
-//! a [`ProgressCounters`] sink and rewrites one stderr status line, e.g.
+//! the solve's live statistics snapshot (published by the search workers
+//! every 64 nodes, see [`recopack_core::live`]) and rewrites one stderr
+//! status line, e.g.
 //!
 //! ```text
 //! nodes 1.2M (410.0k/s) · depth 14/31 · prunes c2:62% c3:20% · elapsed 12.4s
@@ -11,11 +13,10 @@
 //! printed and terminated with a newline, leaving the scrollback clean.
 
 use std::io::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use recopack_core::{EventTotals, ProgressCounters, PruneRule};
+use recopack_core::{CancelToken, LiveSnapshot, PruneRule};
 
 /// Formats a count with a metric suffix (`1234` → `1.2k`).
 fn human(n: u64) -> String {
@@ -28,20 +29,16 @@ fn human(n: u64) -> String {
 }
 
 /// Renders one status line from a snapshot.
-fn status_line(totals: &EventTotals, rate: f64, total_slots: u64, elapsed: Duration) -> String {
+fn status_line(live: &LiveSnapshot, rate: f64, total_slots: u64, elapsed: Duration) -> String {
     use std::fmt::Write as _;
-    let mut line = format!(
-        "nodes {} ({}/s)",
-        human(totals.branches),
-        human(rate as u64)
-    );
-    let _ = write!(line, " · depth {}/{}", totals.max_depth, total_slots);
-    let prunes = totals.prunes_total();
+    let mut line = format!("nodes {} ({}/s)", human(live.nodes), human(rate as u64));
+    let _ = write!(line, " · depth {}/{}", live.max_depth, total_slots);
+    let prunes = live.conflicts_total();
     if prunes > 0 {
         line.push_str(" · prunes");
         let mut rules: Vec<(PruneRule, u64)> = PruneRule::ALL
             .into_iter()
-            .map(|r| (r, totals.prunes[r.index()]))
+            .map(|r| (r, live.conflicts[r.index()]))
             .filter(|(_, n)| *n > 0)
             .collect();
         rules.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
@@ -63,55 +60,46 @@ fn status_line(totals: &EventTotals, rate: f64, total_slots: u64, elapsed: Durat
 ///
 /// [`finish`]: Reporter::finish
 pub(crate) struct Reporter {
-    stop: Arc<AtomicBool>,
+    /// Dropping the sender wakes the sampler at once, so stopping never
+    /// waits out a redraw interval.
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Reporter {
-    /// Starts the sampler over `counters`, redrawing every `interval`.
-    /// `total_slots` is the depth budget shown as `depth <max>/<total>`
-    /// (three dimensions times the number of task pairs).
-    pub(crate) fn start(
-        counters: Arc<ProgressCounters>,
-        interval: Duration,
-        total_slots: u64,
-    ) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
+    /// Starts the sampler over the live statistics of the solves run under
+    /// `run`, redrawing every `interval`. `total_slots` is the depth budget
+    /// shown as `depth <max>/<total>` (three dimensions times the number of
+    /// task pairs).
+    pub(crate) fn start(run: CancelToken, interval: Duration, total_slots: u64) -> Self {
+        let (stop, stopped) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("recopack-progress".to_string())
             .spawn(move || {
                 let started = Instant::now();
                 let mut last = (Instant::now(), 0u64);
-                while !stop_flag.load(Ordering::Relaxed) {
-                    std::thread::sleep(interval.min(Duration::from_millis(50)));
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if last.0.elapsed() < interval {
-                        continue;
-                    }
-                    let totals = counters.snapshot();
+                while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                    let live = run.live().snapshot();
                     let dt = last.0.elapsed().as_secs_f64();
-                    let rate = (totals.branches - last.1) as f64 / dt.max(1e-9);
-                    last = (Instant::now(), totals.branches);
-                    let line = status_line(&totals, rate, total_slots, started.elapsed());
+                    let rate = (live.nodes - last.1) as f64 / dt.max(1e-9);
+                    last = (Instant::now(), live.nodes);
+                    let line = status_line(&live, rate, total_slots, started.elapsed());
                     let mut err = std::io::stderr().lock();
                     let _ = write!(err, "\r\x1b[K{line}");
                     let _ = err.flush();
                 }
                 // Final totals, average rate, then release the line.
-                let totals = counters.snapshot();
+                let live = run.live().snapshot();
                 let elapsed = started.elapsed();
-                let rate = totals.branches as f64 / elapsed.as_secs_f64().max(1e-9);
-                let line = status_line(&totals, rate, total_slots, elapsed);
+                let rate = live.nodes as f64 / elapsed.as_secs_f64().max(1e-9);
+                let line = status_line(&live, rate, total_slots, elapsed);
                 let mut err = std::io::stderr().lock();
                 let _ = writeln!(err, "\r\x1b[K{line}");
                 let _ = err.flush();
             })
             .expect("progress thread spawns");
         Self {
-            stop,
+            stop: Some(stop),
             handle: Some(handle),
         }
     }
@@ -122,7 +110,7 @@ impl Reporter {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.take();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -149,13 +137,13 @@ mod tests {
 
     #[test]
     fn status_line_shows_the_dominant_rules() {
-        let totals = EventTotals {
-            branches: 1_200_000,
-            prunes: [620, 200, 10, 0],
+        let live = LiveSnapshot {
+            nodes: 1_200_000,
+            conflicts: [620, 200, 10, 0],
             max_depth: 14,
-            ..EventTotals::default()
+            ..LiveSnapshot::default()
         };
-        let line = status_line(&totals, 410_000.0, 31, Duration::from_millis(12_400));
+        let line = status_line(&live, 410_000.0, 31, Duration::from_millis(12_400));
         assert!(line.contains("nodes 1.2M"), "{line}");
         assert!(line.contains("(410.0k/s)"), "{line}");
         assert!(line.contains("depth 14/31"), "{line}");
@@ -167,9 +155,17 @@ mod tests {
 
     #[test]
     fn reporter_stops_cleanly() {
-        let counters = Arc::new(ProgressCounters::new());
-        let reporter = Reporter::start(counters, Duration::from_millis(5), 10);
+        let reporter = Reporter::start(CancelToken::new(), Duration::from_millis(5), 10);
         std::thread::sleep(Duration::from_millis(20));
         reporter.finish();
+        // Stopping does not wait out the redraw interval.
+        let reporter = Reporter::start(CancelToken::new(), Duration::from_secs(10), 10);
+        let stopping = Instant::now();
+        reporter.finish();
+        assert!(
+            stopping.elapsed() < Duration::from_secs(1),
+            "finish waited {:?} of a 10 s interval",
+            stopping.elapsed()
+        );
     }
 }

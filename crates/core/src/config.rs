@@ -6,9 +6,11 @@ use std::time::Duration;
 
 use recopack_bounds::BoundKind;
 
+use crate::live::LiveStats;
 use crate::telemetry::Telemetry;
 
-/// A cooperative cancellation handle for a running solve.
+/// The per-job handle every search polls at its budget checkpoints: a
+/// cooperative cancellation flag plus the job's [`LiveStats`].
 ///
 /// Clone the token, hand one copy to [`SolverConfig::cancel`], keep the
 /// other, and call [`cancel`](CancelToken::cancel) from any thread: every
@@ -18,17 +20,27 @@ use crate::telemetry::Telemetry;
 /// Cancellation is level-triggered and sticky: once cancelled, a token stays
 /// cancelled, and every solve sharing it stops.
 ///
+/// The kept copy also reads the job's progress: every search run under the
+/// token publishes its counters into [`live`](CancelToken::live), which
+/// accumulates across the searches of a multi-decision solve.
+///
 /// The default token is never cancelled and costs one relaxed atomic load
-/// per budget check. Equality compares token *identity* (same shared flag),
-/// which keeps [`SolverConfig`] `Eq` — two independently created tokens are
-/// never equal, a token always equals its clones.
+/// per budget check. Equality compares token *identity* (same shared
+/// handle), which keeps [`SolverConfig`] `Eq` — two independently created
+/// tokens are never equal, a token always equals its clones.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
-    cancelled: Arc<AtomicBool>,
+    shared: Arc<JobHandle>,
+}
+
+#[derive(Debug, Default)]
+struct JobHandle {
+    cancelled: AtomicBool,
+    live: LiveStats,
 }
 
 impl CancelToken {
-    /// A fresh, not-yet-cancelled token.
+    /// A fresh, not-yet-cancelled token with zeroed live statistics.
     pub fn new() -> Self {
         Self::default()
     }
@@ -36,18 +48,23 @@ impl CancelToken {
     /// Requests cancellation: every search polling this token unwinds at
     /// its next budget checkpoint.
     pub fn cancel(&self) {
-        self.cancelled.store(true, Ordering::Relaxed);
+        self.shared.cancelled.store(true, Ordering::Relaxed);
     }
 
     /// Whether [`cancel`](CancelToken::cancel) has been called.
     pub fn is_cancelled(&self) -> bool {
-        self.cancelled.load(Ordering::Relaxed)
+        self.shared.cancelled.load(Ordering::Relaxed)
+    }
+
+    /// The live statistics of every search run under this token.
+    pub fn live(&self) -> &LiveStats {
+        &self.shared.live
     }
 }
 
 impl PartialEq for CancelToken {
     fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.cancelled, &other.cancelled)
+        Arc::ptr_eq(&self.shared, &other.shared)
     }
 }
 
@@ -123,10 +140,12 @@ pub struct SolverConfig {
     /// informational — unlike the event *counts*, they are not
     /// thread-count invariant (see DESIGN.md, "Tracing and profiling").
     pub profile: bool,
-    /// Cooperative cancellation handle, polled at every budget checkpoint.
-    /// The default token is never cancelled; install a clone of a caller-held
+    /// Per-job handle polled at every budget checkpoint: cooperative
+    /// cancellation plus the live statistics every search publishes. The
+    /// default token is never cancelled; install a clone of a caller-held
     /// [`CancelToken`] to stop a solve from outside (the `recopack serve`
-    /// job daemon uses this for `DELETE /jobs/{id}`).
+    /// job daemon uses this for `DELETE /jobs/{id}`) or to watch its
+    /// progress (`GET /jobs/{id}/progress`, CLI `--progress`).
     pub cancel: CancelToken,
 }
 

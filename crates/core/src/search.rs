@@ -29,6 +29,7 @@ use recopack_order::orientation::transitively_orient_extending;
 
 use crate::beacon::{self, ActivityBeacon, Phase as BeaconPhase};
 use crate::config::{LimitKind, SolverConfig, SolverStats};
+use crate::live::{self, LiveSlot};
 use crate::state::{EdgeState, Orient, PackingState};
 use crate::telemetry::{EventKind, PruneRule, SearchEvent};
 
@@ -152,6 +153,8 @@ struct SharedBudget {
     /// once by the first thread that exhausts a budget.
     stop: AtomicU8,
     started: Instant,
+    /// This search's id in the job's [`LiveStats`](crate::LiveStats).
+    live_search: u64,
 }
 
 const STOP_NODES: u8 = 1;
@@ -159,11 +162,12 @@ const STOP_TIME: u8 = 2;
 const STOP_CANCELLED: u8 = 3;
 
 impl SharedBudget {
-    fn new() -> Self {
+    fn new(live_search: u64) -> Self {
         Self {
             nodes: AtomicU64::new(0),
             stop: AtomicU8::new(0),
             started: Instant::now(),
+            live_search,
         }
     }
 
@@ -415,14 +419,20 @@ impl<'a> Search<'a> {
                 branch_order,
                 twin_pairs,
             },
-            budget: SharedBudget::new(),
+            budget: SharedBudget::new(config.cancel.live().begin_search()),
         }
     }
 
     /// Runs the complete search once, returning the result and the
-    /// statistics aggregated over every thread.
+    /// statistics aggregated over every thread (also published as the
+    /// search's final contribution to the job's live statistics).
     pub(crate) fn run(&self) -> (SearchResult, SolverStats) {
         let (result, stats) = self.run_inner();
+        self.ctx
+            .config
+            .cancel
+            .live()
+            .finish_search(self.budget.live_search, &stats);
         self.ctx.config.telemetry.finish(&stats);
         (result, stats)
     }
@@ -656,6 +666,9 @@ struct Worker<'c> {
     beacon_bits: u64,
     /// Wrapping activity epoch, bumped on every beacon store.
     beacon_epoch: u64,
+    /// This worker's slot in the job's live statistics, republished every
+    /// [`live::PUBLISH_INTERVAL`] nodes.
+    live: Arc<LiveSlot>,
 }
 
 impl<'c> Worker<'c> {
@@ -689,6 +702,7 @@ impl<'c> Worker<'c> {
             beacon: beacon::global_registry().register(),
             beacon_bits: 0,
             beacon_epoch: 0,
+            live: ctx.config.cancel.live().register(budget.live_search),
         }
     }
 
@@ -1312,6 +1326,13 @@ impl<'c> Worker<'c> {
     /// Charges one node against the *global* budget; `true` means stop.
     fn out_of_budget(&mut self) -> bool {
         self.stats.budget_checks += 1;
+        if self
+            .stats
+            .budget_checks
+            .is_multiple_of(live::PUBLISH_INTERVAL)
+        {
+            self.live.publish(&self.stats);
+        }
         let total = self.budget.nodes.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(limit) = self.ctx.config.node_limit {
             if total >= limit {

@@ -51,7 +51,7 @@ pub struct CachedSolution {
     pub status: &'static str,
     /// Outcome label, e.g. `feasible` or `side 4`.
     pub outcome: String,
-    /// The schema-2 `SolveReport` JSON, byte-identical to the run that
+    /// The schema-3 `SolveReport` JSON, byte-identical to the run that
     /// produced it.
     pub report: Option<String>,
     /// Box origins `[x, y, t]` indexed by *canonical position*, when the

@@ -57,7 +57,6 @@ mod profile;
 mod progress;
 mod recorder;
 mod signal;
-mod sink;
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -68,19 +67,17 @@ use std::time::{Duration, Instant, SystemTime};
 use recopack_core::beacon::{self, Phase as BeaconPhase, ProfileBuilder};
 use recopack_core::telemetry::push_json_str;
 use recopack_core::{
-    pareto_front_with_stats, per_second, Bmp, CancelToken, Fanout, LimitKind, Opp,
-    ProgressCounters, SolveOutcome, SolveReport, SolverConfig, SolverStats, Spp, Telemetry,
-    TelemetrySink,
+    pareto_front_with_stats, per_second, Bmp, CancelToken, LimitKind, Opp, PruneRule, SolveOutcome,
+    SolveReport, SolverConfig, SolverStats, Spp, Telemetry,
 };
 use recopack_json::Json;
 use recopack_metrics::{Counter, Gauge, Histogram, Registry};
 use recopack_model::{format, Instance, Placement};
 
 use cache::{CachedSolution, SolutionCache};
-use progress::{EventStream, JobProgress};
+use progress::{EventStream, JobProgress, ProgressView};
 use recorder::{FlightRecorder, JobSummary};
 pub use signal::{install_shutdown_handler, shutdown_requested};
-pub use sink::MetricsSink;
 
 /// Configuration of one [`Server`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,23 +174,48 @@ struct JobSpec {
     rank: Vec<u32>,
 }
 
-/// Lifecycle of a submitted job.
+/// Lifecycle of a live job; terminal jobs leave the live table (see
+/// [`RetiredJob`]).
 enum JobState {
     Queued,
     Running,
-    Finished {
-        /// `done`, `cancelled`, or `failed`.
-        status: &'static str,
-        outcome: String,
-        /// The schema-2 [`SolveReport`] JSON, when the solver produced
-        /// statistics.
-        report: Option<String>,
-        /// The placement in the text format of `recopack_model::format`,
-        /// for feasible decision problems and optimization optima.
-        placement: Option<String>,
-    },
 }
 
+impl JobState {
+    fn name(&self) -> &'static str {
+        match self {
+            JobState::Queued => "queued",
+            JobState::Running => "running",
+        }
+    }
+}
+
+/// The terminal result a job publishes in its `GET /jobs/{id}` document.
+struct Finished {
+    /// `done`, `cancelled`, or `failed`.
+    status: &'static str,
+    outcome: String,
+    /// The schema-3 [`SolveReport`] JSON, when the solver produced
+    /// statistics.
+    report: Option<String>,
+    /// The placement in the text format of `recopack_model::format`, for
+    /// feasible decision problems and optimization optima.
+    placement: Option<String>,
+}
+
+impl Finished {
+    /// A terminal result without a report or placement.
+    fn bare(status: &'static str, outcome: &str) -> Self {
+        Self {
+            status,
+            outcome: outcome.to_string(),
+            report: None,
+            placement: None,
+        }
+    }
+}
+
+/// A queued or running job.
 struct Job {
     kind: JobKind,
     name: String,
@@ -243,11 +265,30 @@ struct InFlight {
 /// answer `404` like unknown ones.
 const FINISHED_RETENTION: usize = 4096;
 
+/// A terminal job, reduced to what its endpoints still return: the
+/// rendered `GET /jobs/{id}` document and the `/progress` view frozen at
+/// the terminal instant. Its key, task names, rank, spec and live handle
+/// are dropped on retirement, so retaining a finished job costs about the
+/// size of its report.
+struct RetiredJob {
+    /// `done`, `cancelled`, or `failed`: answers `DELETE` and ends an
+    /// `/events` stream.
+    status: &'static str,
+    /// Whether the job was submitted with `"trace": true`, so `/events`
+    /// answers with an end record instead of `409`.
+    traced: bool,
+    document: Arc<str>,
+    progress: Arc<ProgressView>,
+}
+
 /// Job table, queue, and in-flight dedup groups, guarded by one mutex so
 /// queue membership, group membership, and job state can never disagree.
 #[derive(Default)]
 struct State {
+    /// Queued and running jobs.
     jobs: HashMap<u64, Job>,
+    /// Terminal jobs inside the retention window.
+    retired: HashMap<u64, RetiredJob>,
     queue: VecDeque<u64>,
     inflight: HashMap<String, InFlight>,
     /// Terminal job ids in retirement order, oldest first; the tail of the
@@ -256,16 +297,55 @@ struct State {
     draining: bool,
 }
 
-/// Records that job `id` reached a terminal state and evicts the oldest
-/// finished jobs beyond [`FINISHED_RETENTION`]. Every transition into
-/// [`JobState::Finished`] must pass through here exactly once.
-fn retire_job(st: &mut State, id: u64) {
-    st.finished.push_back(id);
-    while st.finished.len() > FINISHED_RETENTION {
-        if let Some(old) = st.finished.pop_front() {
-            st.jobs.remove(&old);
+impl State {
+    /// The `GET /jobs/{id}` document: shared for a retired job, rendered
+    /// for a live one.
+    fn document(&self, id: u64) -> Option<Arc<str>> {
+        match self.retired.get(&id) {
+            Some(retired) => Some(retired.document.clone()),
+            None => self.jobs.get(&id).map(|job| job.document(id).into()),
         }
     }
+
+    /// The status word and `/progress` view of job `id`: frozen for a
+    /// retired job, read from the live statistics for a live one.
+    fn progress(&self, id: u64) -> Option<(&'static str, Arc<ProgressView>)> {
+        match self.retired.get(&id) {
+            Some(retired) => Some((retired.status, retired.progress.clone())),
+            None => self.jobs.get(&id).map(|job| {
+                let view = job.progress.view(&job.request_id, job.trace.as_deref());
+                (job.state.name(), Arc::new(view))
+            }),
+        }
+    }
+}
+
+impl RetiredJob {
+    /// Marks job `id` terminal and renders what it keeps once retired.
+    fn new(id: u64, job: &Job, finished: &Finished) -> Self {
+        job.progress.mark_finished();
+        Self {
+            status: finished.status,
+            traced: job.trace.is_some(),
+            document: finished_json(id, job.kind, &job.name, &job.request_id, finished).into(),
+            progress: Arc::new(job.progress.view(&job.request_id, job.trace.as_deref())),
+        }
+    }
+}
+
+/// Records that job `id` reached its terminal state: moves its retired
+/// record into the table and evicts the oldest retired job beyond
+/// [`FINISHED_RETENTION`]. The caller has already taken the job out of the
+/// live table. Every job passes through here exactly once. Returns the
+/// evicted record, which the caller drops after releasing the state lock.
+fn retire_job(st: &mut State, id: u64, record: RetiredJob) -> Option<RetiredJob> {
+    st.retired.insert(id, record);
+    st.finished.push_back(id);
+    if st.finished.len() > FINISHED_RETENTION {
+        let oldest = st.finished.pop_front().expect("window is not empty");
+        return st.retired.remove(&oldest);
+    }
+    None
 }
 
 /// Every metric family the service exposes. Names are fixed at startup;
@@ -283,6 +363,10 @@ struct ServerMetrics {
     solve: Histogram,
     canon_seconds: Histogram,
     nodes: Histogram,
+    searches: Counter,
+    solver_nodes: Counter,
+    propagation_events: Counter,
+    prunes: [Counter; 4],
     cache_hits: Counter,
     cache_misses: Counter,
     dedup_joins: Counter,
@@ -384,6 +468,25 @@ impl ServerMetrics {
                 ],
                 "Search nodes explored per job.",
             ),
+            searches: registry.counter(
+                "recopack_searches_total",
+                "Completed branch-and-bound searches (one per exact decision).",
+            ),
+            solver_nodes: registry.counter(
+                "recopack_solver_nodes_total",
+                "Search nodes explored across all jobs.",
+            ),
+            propagation_events: registry.counter(
+                "recopack_solver_propagation_events_total",
+                "Propagation-queue events processed across all jobs.",
+            ),
+            prunes: PruneRule::ALL.map(|rule| {
+                registry.counter_with(
+                    "recopack_solver_prunes_total",
+                    &[("rule", rule.name())],
+                    "Subtrees refuted, by propagation rule.",
+                )
+            }),
             cache_hits: registry.counter(
                 "recopack_cache_hits_total",
                 "Submissions answered from the canonicalized solution cache.",
@@ -447,7 +550,6 @@ struct Inner {
     idle_timeout: Duration,
     cache: Mutex<SolutionCache>,
     metrics: ServerMetrics,
-    sink: Arc<MetricsSink>,
     recorder: FlightRecorder,
     next_id: AtomicU64,
     next_group: AtomicU64,
@@ -528,7 +630,6 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let metrics = ServerMetrics::new();
-        let sink = Arc::new(MetricsSink::register(&metrics.registry));
         let inner = Arc::new(Inner {
             state: Mutex::new(State::default()),
             work_available: Condvar::new(),
@@ -537,7 +638,6 @@ impl Server {
             idle_timeout: config.idle_timeout.max(Duration::from_millis(10)),
             cache: Mutex::new(SolutionCache::new(config.cache_capacity.max(1))),
             metrics,
-            sink,
             recorder: FlightRecorder::new(Duration::from_millis(config.slow_job_ms)),
             next_id: AtomicU64::new(1),
             next_group: AtomicU64::new(1),
@@ -665,11 +765,14 @@ fn worker_loop(inner: &Inner) {
             st = inner.work_available.wait(st).expect("state lock");
         };
         inner.metrics.queue_depth.dec();
-        let job = st.jobs.get_mut(&id).expect("queued job exists");
-        if !matches!(job.state, JobState::Queued) {
+        let Some(job) = st
+            .jobs
+            .get_mut(&id)
+            .filter(|job| matches!(job.state, JobState::Queued))
+        else {
             // Cancelled while queued; its terminal state is already set.
             continue;
-        }
+        };
         job.state = JobState::Running;
         let kind = job.kind;
         let name = job.name.clone();
@@ -720,6 +823,18 @@ fn worker_loop(inner: &Inner) {
         inner.metrics.in_flight.dec();
         inner.metrics.solve.observe(wall.as_secs_f64());
         inner.metrics.nodes.observe(finished.nodes as f64);
+        // The run's live statistics are exact once its searches finished,
+        // including those of a cancelled or unresolved job.
+        let live = spec.config.cancel.live().snapshot();
+        inner.metrics.searches.add(live.searches_finished);
+        inner.metrics.solver_nodes.add(live.nodes);
+        inner
+            .metrics
+            .propagation_events
+            .add(live.propagation_events);
+        for (counter, conflicts) in inner.metrics.prunes.iter().zip(live.conflicts) {
+            counter.add(conflicts);
+        }
         LogLine::new("job_finished")
             .num("job", id)
             .str("kind", kind.name())
@@ -768,48 +883,55 @@ fn worker_loop(inner: &Inner) {
         } else {
             members
         };
-        let mut published = Vec::with_capacity(members.len());
-        for &member in &members {
-            let Some(job) = st.jobs.get_mut(&member) else {
-                continue;
-            };
-            if matches!(job.state, JobState::Finished { .. }) {
-                continue;
-            }
-            job.state = JobState::Finished {
-                status: finished.status,
-                outcome: finished.outcome.clone(),
-                report: finished.report.clone(),
-                placement: canon_placement
-                    .as_ref()
-                    .map(|origins| render_placement(origins, &job.task_names, &job.rank)),
-            };
-            published.push((
-                member,
-                job.name.clone(),
-                job.request_id.clone(),
-                job.progress.clone(),
-            ));
-            retire_job(&mut st, member);
-            match finished.status {
-                "cancelled" => inner.metrics.cancelled[kind.index()].inc(),
-                "failed" => inner.metrics.failed[kind.index()].inc(),
-                _ => inner.metrics.completed[kind.index()].inc(),
-            }
-        }
+        // Members that finished earlier (unsubscribed) are no longer live.
+        // With the group detached no member can leave or join, so the
+        // terminal documents are rendered outside the state lock and only
+        // swapped in under it.
+        let published: Vec<(u64, Job)> = members
+            .iter()
+            .filter_map(|&member| Some((member, st.jobs.get_mut(&member)?.detach())))
+            .collect();
         drop(st);
+        let records: Vec<RetiredJob> = published
+            .iter()
+            .map(|(member, job)| {
+                let result = Finished {
+                    status: finished.status,
+                    outcome: finished.outcome.clone(),
+                    report: finished.report.clone(),
+                    placement: canon_placement
+                        .as_ref()
+                        .map(|origins| render_placement(origins, &job.task_names, &job.rank)),
+                };
+                RetiredJob::new(*member, job, &result)
+            })
+            .collect();
+        let outcomes = match finished.status {
+            "cancelled" => &inner.metrics.cancelled[kind.index()],
+            "failed" => &inner.metrics.failed[kind.index()],
+            _ => &inner.metrics.completed[kind.index()],
+        };
+        let mut stale = Vec::with_capacity(records.len());
+        let mut evicted = Vec::with_capacity(records.len());
+        let mut st = inner.state.lock().expect("state lock");
+        for ((member, _), record) in published.iter().zip(records) {
+            stale.extend(st.jobs.remove(member));
+            evicted.extend(retire_job(&mut st, *member, record));
+        }
+        outcomes.add(published.len() as u64);
+        drop(st);
+        drop((stale, evicted));
 
-        for (member, member_name, member_request, progress) in published {
-            progress.mark_finished();
-            let (queue_wait, solve) = progress.split();
+        for (member, job) in published {
+            let (queue_wait, solve) = job.progress.split();
             let slow = inner.recorder.record(JobSummary {
                 id: member,
                 kind: kind.name(),
-                name: member_name,
+                name: job.name,
                 status: finished.status,
                 outcome: finished.outcome.clone(),
                 via: if member == id { "run" } else { "shared" },
-                request_id: member_request.clone(),
+                request_id: job.request_id.clone(),
                 queue_wait_ms: queue_wait * 1000.0,
                 solve_ms: solve * 1000.0,
                 nodes: finished.nodes,
@@ -818,7 +940,7 @@ fn worker_loop(inner: &Inner) {
                 LogLine::new("job_slow")
                     .num("job", member)
                     .str("kind", kind.name())
-                    .str("request_id", &member_request)
+                    .str("request_id", &job.request_id)
                     .ms("solve_ms", solve * 1000.0)
                     .num("nodes", finished.nodes)
                     .emit();
@@ -880,7 +1002,6 @@ fn run_job(kind: JobKind, name: &str, spec: &JobSpec) -> FinishedJob {
             nodes_per_sec: per_sec(stats.nodes),
             propagation_events_per_sec: per_sec(stats.propagation_events),
             stats: stats.clone(),
-            events: None,
             journal_dropped: None,
         }
         .to_json()
@@ -1168,23 +1289,42 @@ fn stream_job_events(
     request_id: &str,
 ) -> u16 {
     const JSON: &str = "application/json";
-    let stream = {
+    enum Target {
+        /// A live traced job: stream until it ends.
+        Live(Arc<EventStream>),
+        /// A retired traced job: its end record alone.
+        Ended(&'static str),
+        Refused(u16, &'static str),
+    }
+    let target = {
         let st = inner.state.lock().expect("state lock");
-        match st.jobs.get(&id) {
-            None => Err((404, error_body("no such job"))),
-            Some(job) => match &job.trace {
-                Some(stream) => Ok(stream.clone()),
-                None => Err((
-                    409,
-                    error_body("job was not submitted with \"trace\": true"),
-                )),
+        match (st.jobs.get(&id), st.retired.get(&id)) {
+            (Some(job), _) => match &job.trace {
+                Some(stream) => Target::Live(stream.clone()),
+                None => Target::Refused(409, UNTRACED),
             },
+            (None, Some(retired)) if retired.traced => Target::Ended(retired.status),
+            (None, Some(_)) => Target::Refused(409, UNTRACED),
+            (None, None) => Target::Refused(404, "no such job"),
         }
     };
-    let stream = match stream {
-        Ok(stream) => stream,
-        Err((status, body)) => {
-            conn.respond(status, JSON, &body, keep_alive, Some(request_id));
+    let stream = match target {
+        Target::Live(stream) => stream,
+        Target::Ended(status) => {
+            if conn.start_stream(200, "application/x-ndjson", keep_alive, request_id) {
+                let _ = conn.write_chunk(&end_record(id, status, 0));
+                let _ = conn.end_stream();
+            }
+            return 200;
+        }
+        Target::Refused(status, reason) => {
+            conn.respond(
+                status,
+                JSON,
+                &error_body(reason),
+                keep_alive,
+                Some(request_id),
+            );
             return status;
         }
     };
@@ -1207,12 +1347,10 @@ fn stream_job_events(
         }
         let terminal = {
             let st = inner.state.lock().expect("state lock");
-            match st.jobs.get(&id) {
+            match st.retired.get(&id) {
+                Some(retired) => Some(retired.status),
+                None if st.jobs.contains_key(&id) => None,
                 None => Some("evicted"),
-                Some(job) => match &job.state {
-                    JobState::Finished { status, .. } => Some(*status),
-                    _ => None,
-                },
             }
         };
         if let Some(status) = terminal {
@@ -1223,12 +1361,7 @@ fn stream_job_events(
                 tail.push_str(&line);
                 tail.push('\n');
             }
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                tail,
-                "{{\"event\":\"end\",\"job\":{id},\"status\":\"{status}\",\"dropped\":{}}}",
-                subscriber.dropped()
-            );
+            tail.push_str(&end_record(id, status, subscriber.dropped()));
             let _ = conn.write_chunk(&tail);
             let _ = conn.end_stream();
             break;
@@ -1236,6 +1369,14 @@ fn stream_job_events(
     }
     stream.unsubscribe(&subscriber);
     200
+}
+
+/// Why `/events` refuses a job submitted without `"trace": true`.
+const UNTRACED: &str = "job was not submitted with \"trace\": true";
+
+/// The last NDJSON line of an `/events` stream.
+fn end_record(id: u64, status: &str, dropped: u64) -> String {
+    format!("{{\"event\":\"end\",\"job\":{id},\"status\":\"{status}\",\"dropped\":{dropped}}}\n")
 }
 
 fn error_body(message: &str) -> String {
@@ -1439,20 +1580,9 @@ fn route(inner: &Inner, request: &http::Request, request_id: &str) -> (u16, &'st
 /// Serves `GET /jobs/{id}/progress`: the live snapshot of one job's
 /// solver counters and phase timings, at any lifecycle stage.
 fn job_progress(inner: &Inner, id: u64) -> (u16, String) {
-    let st = inner.state.lock().expect("state lock");
-    match st.jobs.get(&id) {
-        Some(job) => {
-            let status = match &job.state {
-                JobState::Queued => "queued",
-                JobState::Running => "running",
-                JobState::Finished { status, .. } => status,
-            };
-            (
-                200,
-                job.progress
-                    .to_json(id, status, &job.request_id, job.trace.as_deref()),
-            )
-        }
+    let progress = inner.state.lock().expect("state lock").progress(id);
+    match progress {
+        Some((status, view)) => (200, view.to_json(id, status)),
         None => (404, error_body("no such job")),
     }
 }
@@ -1635,16 +1765,12 @@ fn submit_doc(
     } else {
         instance.with_transitive_closure()
     };
+    // Every run reports live progress through its cancel token's
+    // statistics snapshot; the raw event stream is opt-in, so an untraced
+    // job installs no telemetry sink at all (pay-for-what-you-use).
     let cancel = CancelToken::new();
-    // Every run reports live progress; the raw event stream is opt-in so
-    // untraced jobs never serialize an event (pay-for-what-you-use).
     let traced = doc.get("trace").and_then(Json::as_bool).unwrap_or(false);
-    let counters = Arc::new(ProgressCounters::new());
     let stream = traced.then(|| Arc::new(EventStream::new()));
-    let mut sinks: Vec<Arc<dyn TelemetrySink>> = vec![inner.sink.clone(), counters.clone()];
-    if let Some(stream) = &stream {
-        sinks.push(stream.clone());
-    }
     let config = SolverConfig {
         threads: doc.get("threads").and_then(Json::as_u64).unwrap_or(1) as usize,
         use_bounds: doc
@@ -1660,7 +1786,10 @@ fn submit_doc(
             .get("time_limit_ms")
             .and_then(Json::as_u64)
             .map(Duration::from_millis),
-        telemetry: Telemetry::to(Arc::new(Fanout::new(sinks))),
+        telemetry: match &stream {
+            Some(stream) => Telemetry::to(stream.clone()),
+            None => Telemetry::none(),
+        },
         cancel: cancel.clone(),
         ..SolverConfig::default()
     };
@@ -1705,42 +1834,36 @@ fn submit_doc(
             .placement
             .as_ref()
             .map(|origins| render_placement(origins, &task_names, &canon.rank));
-        let progress = Arc::new(JobProgress::new(counters));
-        progress.mark_finished();
-        if let Some(stream) = &stream {
-            // Born finished: a subscriber gets an immediate end record.
-            stream.close();
-        }
-        let outcome = hit.outcome.clone();
-        st.jobs.insert(
-            id,
-            Job {
-                kind,
-                name: name.clone(),
-                state: JobState::Finished {
-                    status: hit.status,
-                    outcome: hit.outcome,
-                    report: hit.report,
-                    placement,
-                },
-                spec: None,
-                key,
-                task_names,
-                rank: canon.rank,
-                request_id: request_id.to_string(),
-                progress: progress.clone(),
-                trace: stream,
-            },
-        );
-        retire_job(&mut st, id);
+        // Born finished: the job goes straight to the retired table, and
+        // an `/events` subscriber gets an immediate end record.
+        let job = Job {
+            kind,
+            name: name.clone(),
+            state: JobState::Running,
+            spec: None,
+            key,
+            task_names,
+            rank: canon.rank,
+            request_id: request_id.to_string(),
+            progress: Arc::new(JobProgress::new(cancel)),
+            trace: stream,
+        };
+        let finished = Finished {
+            status: hit.status,
+            outcome: hit.outcome,
+            report: hit.report,
+            placement,
+        };
+        let evicted = retire_job(&mut st, id, RetiredJob::new(id, &job, &finished));
         drop(st);
-        let (queue_wait, solve) = progress.split();
+        drop(evicted);
+        let (queue_wait, solve) = job.progress.split();
         inner.recorder.record(JobSummary {
             id,
             kind: kind.name(),
             name: name.clone(),
             status: hit.status,
-            outcome,
+            outcome: finished.outcome,
             via: "cache",
             request_id: request_id.to_string(),
             queue_wait_ms: queue_wait * 1000.0,
@@ -1794,13 +1917,11 @@ fn submit_doc(
             ),
             None => (JobState::Queued, None, None),
         };
-        // A joiner reads the shared run's live counters but keeps its own
-        // lifecycle timing: it waited in no queue of its own, and a join
-        // onto a running group starts its solve phase immediately.
+        // A joiner reads the shared run's live statistics but keeps its
+        // own lifecycle timing: it waited in no queue of its own, and a
+        // join onto a running group starts its solve phase immediately.
         let progress = Arc::new(JobProgress::new(
-            driver_progress
-                .map(|p| p.counters().clone())
-                .unwrap_or_else(|| Arc::new(ProgressCounters::new())),
+            driver_progress.map_or(cancel, |p| p.run().clone()),
         ));
         if matches!(state, JobState::Running) {
             progress.mark_started();
@@ -1858,7 +1979,7 @@ fn submit_doc(
             task_names,
             rank: canon.rank,
             request_id: request_id.to_string(),
-            progress: Arc::new(JobProgress::new(counters)),
+            progress: Arc::new(JobProgress::new(cancel.clone())),
             trace: stream,
         },
     );
@@ -1885,60 +2006,99 @@ fn submit_doc(
     Ok((id, "queued"))
 }
 
-fn job_json(id: u64, job: &Job) -> String {
+/// The leading fields of every job document, up to the `status` value.
+fn job_json_head(id: u64, kind: JobKind, name: &str, request_id: &str) -> String {
     let mut body = format!("{{\"id\":{id},\"kind\":");
-    push_json_str(&mut body, job.kind.name());
+    push_json_str(&mut body, kind.name());
     body.push_str(",\"name\":");
-    push_json_str(&mut body, &job.name);
+    push_json_str(&mut body, name);
     body.push_str(",\"request_id\":");
-    push_json_str(&mut body, &job.request_id);
+    push_json_str(&mut body, request_id);
     body.push_str(",\"status\":");
-    match &job.state {
-        JobState::Queued => body.push_str("\"queued\"}"),
-        JobState::Running => body.push_str("\"running\"}"),
-        JobState::Finished {
-            status,
-            outcome,
-            report,
-            placement,
-        } => {
-            push_json_str(&mut body, status);
-            body.push_str(",\"outcome\":");
-            push_json_str(&mut body, outcome);
-            body.push_str(",\"report\":");
-            match report {
-                Some(report) => body.push_str(report),
-                None => body.push_str("null"),
-            }
-            body.push_str(",\"placement\":");
-            match placement {
-                Some(placement) => push_json_str(&mut body, placement),
-                None => body.push_str("null"),
-            }
-            body.push('}');
+    body
+}
+
+impl Job {
+    /// Hands a finished run's publisher what it needs to render this job's
+    /// terminal documents: the task names and rank move out, the identity
+    /// is copied, and the record stays in the live table for GETs until it
+    /// retires.
+    fn detach(&mut self) -> Job {
+        Job {
+            kind: self.kind,
+            name: self.name.clone(),
+            state: JobState::Running,
+            spec: None,
+            key: String::new(),
+            task_names: std::mem::take(&mut self.task_names),
+            rank: std::mem::take(&mut self.rank),
+            request_id: self.request_id.clone(),
+            progress: self.progress.clone(),
+            trace: self.trace.clone(),
         }
     }
+
+    /// The `GET /jobs/{id}` document of this live job.
+    fn document(&self, id: u64) -> String {
+        let mut body = job_json_head(id, self.kind, &self.name, &self.request_id);
+        push_json_str(&mut body, self.state.name());
+        body.push('}');
+        body
+    }
+}
+
+/// The `GET /jobs/{id}` document of a terminal job, rendered once when it
+/// retires.
+fn finished_json(
+    id: u64,
+    kind: JobKind,
+    name: &str,
+    request_id: &str,
+    finished: &Finished,
+) -> String {
+    let mut body = job_json_head(id, kind, name, request_id);
+    push_json_str(&mut body, finished.status);
+    body.push_str(",\"outcome\":");
+    push_json_str(&mut body, &finished.outcome);
+    body.push_str(",\"report\":");
+    match &finished.report {
+        Some(report) => body.push_str(report),
+        None => body.push_str("null"),
+    }
+    body.push_str(",\"placement\":");
+    match &finished.placement {
+        Some(placement) => push_json_str(&mut body, placement),
+        None => body.push_str("null"),
+    }
+    body.push('}');
     body
 }
 
 fn job_status(inner: &Inner, id: u64) -> (u16, String) {
-    let st = inner.state.lock().expect("state lock");
-    match st.jobs.get(&id) {
-        Some(job) => (200, job_json(id, job)),
+    let document = inner.state.lock().expect("state lock").document(id);
+    match document {
+        Some(doc) => (200, doc.to_string()),
         None => (404, error_body("no such job")),
     }
 }
 
 fn list_jobs(inner: &Inner) -> String {
-    let st = inner.state.lock().expect("state lock");
-    let mut ids: Vec<u64> = st.jobs.keys().copied().collect();
-    ids.sort_unstable();
+    let mut docs: Vec<(u64, Arc<str>)> = {
+        let st = inner.state.lock().expect("state lock");
+        let live = st
+            .jobs
+            .iter()
+            .map(|(&id, job)| (id, job.document(id).into()));
+        let retired = st.retired.iter().map(|(&id, r)| (id, r.document.clone()));
+        live.chain(retired).collect()
+    };
+    docs.sort_unstable_by_key(|&(id, _)| id);
     let mut body = String::from("{\"jobs\":[");
-    for (i, id) in ids.iter().enumerate() {
+    for (i, (_, doc)) in docs.iter().enumerate() {
         if i > 0 {
             body.push(',');
         }
-        body.push_str(&job_json(*id, &st.jobs[id]));
+        body.push_str(doc);
     }
     body.push_str("]}");
     body
@@ -1952,13 +2112,13 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         Finished(&'static str),
     }
     let mut st = inner.state.lock().expect("state lock");
-    let snapshot = match st.jobs.get(&id) {
-        None => Snapshot::NotFound,
-        Some(job) => match &job.state {
+    let snapshot = match (st.jobs.get(&id), st.retired.get(&id)) {
+        (Some(job), _) => match job.state {
             JobState::Queued => Snapshot::Queued(job.kind),
             JobState::Running => Snapshot::Running(job.kind),
-            JobState::Finished { status, .. } => Snapshot::Finished(status),
         },
+        (None, Some(retired)) => Snapshot::Finished(retired.status),
+        (None, None) => Snapshot::NotFound,
     };
     let (kind, was_queued) = match snapshot {
         Snapshot::NotFound => return (404, error_body("no such job")),
@@ -1974,15 +2134,7 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         Snapshot::Running(kind) => (kind, false),
     };
 
-    let (key, job_name, job_request, job_progress) = {
-        let job = st.jobs.get(&id).expect("job exists");
-        (
-            job.key.clone(),
-            job.name.clone(),
-            job.request_id.clone(),
-            job.progress.clone(),
-        )
-    };
+    let key = st.jobs[&id].key.clone();
     // The membership check matters: after a running job's group is retired
     // by a previous DELETE, an identical submission may install a
     // *successor* group under the same key — that one must not be touched
@@ -2012,27 +2164,22 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
                 }
             }
         }
-        let job = st.jobs.get_mut(&id).expect("job exists");
-        job.state = JobState::Finished {
-            status: "cancelled",
-            outcome: "unsubscribed from shared run".to_string(),
-            report: None,
-            placement: None,
-        };
-        retire_job(&mut st, id);
-        drop(st);
         // The shared run (and its event stream) lives on for the
         // remaining members; only this job's own lifecycle closes.
-        job_progress.mark_finished();
-        let (queue_wait, solve) = job_progress.split();
+        let finished = Finished::bare("cancelled", "unsubscribed from shared run");
+        let job = st.jobs.remove(&id).expect("job exists");
+        let evicted = retire_job(&mut st, id, RetiredJob::new(id, &job, &finished));
+        drop(st);
+        drop(evicted);
+        let (queue_wait, solve) = job.progress.split();
         inner.recorder.record(JobSummary {
             id,
             kind: kind.name(),
-            name: job_name,
-            status: "cancelled",
-            outcome: "unsubscribed from shared run".to_string(),
+            name: job.name,
+            status: finished.status,
+            outcome: finished.outcome,
             via: "shared",
-            request_id: job_request.clone(),
+            request_id: job.request_id.clone(),
             queue_wait_ms: queue_wait * 1000.0,
             solve_ms: solve * 1000.0,
             nodes: 0,
@@ -2041,7 +2188,7 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         LogLine::new("job_cancelled")
             .num("job", id)
             .str("while", "shared")
-            .str("request_id", &job_request)
+            .str("request_id", &job.request_id)
             .emit();
         return (200, format!("{{\"id\":{id},\"status\":\"cancelled\"}}"));
     }
@@ -2051,30 +2198,24 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         group.cancel.cancel();
         st.inflight.remove(&key);
         st.queue.retain(|&queued| queued != id);
-        let job = st.jobs.get_mut(&id).expect("job exists");
-        job.state = JobState::Finished {
-            status: "cancelled",
-            outcome: "cancelled while queued".to_string(),
-            report: None,
-            placement: None,
-        };
-        let trace = job.trace.clone();
-        retire_job(&mut st, id);
+        let finished = Finished::bare("cancelled", "cancelled while queued");
+        let job = st.jobs.remove(&id).expect("job exists");
+        let evicted = retire_job(&mut st, id, RetiredJob::new(id, &job, &finished));
         drop(st);
-        job_progress.mark_finished();
-        if let Some(trace) = trace {
+        drop(evicted);
+        if let Some(trace) = &job.trace {
             // The run never starts; release any stream subscribers.
             trace.close();
         }
-        let (queue_wait, solve) = job_progress.split();
+        let (queue_wait, solve) = job.progress.split();
         inner.recorder.record(JobSummary {
             id,
             kind: kind.name(),
-            name: job_name,
-            status: "cancelled",
-            outcome: "cancelled while queued".to_string(),
+            name: job.name,
+            status: finished.status,
+            outcome: finished.outcome,
             via: "run",
-            request_id: job_request.clone(),
+            request_id: job.request_id.clone(),
             queue_wait_ms: queue_wait * 1000.0,
             solve_ms: solve * 1000.0,
             nodes: 0,
@@ -2084,7 +2225,7 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         LogLine::new("job_cancelled")
             .num("job", id)
             .str("while", "queued")
-            .str("request_id", &job_request)
+            .str("request_id", &job.request_id)
             .emit();
         (200, format!("{{\"id\":{id},\"status\":\"cancelled\"}}"))
     } else {
@@ -2096,12 +2237,109 @@ fn cancel_job(inner: &Inner, id: u64) -> (u16, String) {
         // key is safe from the finishing run.
         group.cancel.cancel();
         st.inflight.remove(&key);
+        let request_id = st.jobs[&id].request_id.clone();
         drop(st);
         LogLine::new("job_cancelled")
             .num("job", id)
             .str("while", "running")
-            .str("request_id", &job_request)
+            .str("request_id", &request_id)
             .emit();
         (202, format!("{{\"id\":{id},\"status\":\"cancelling\"}}"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn live_job(id: u64, traced: bool) -> Job {
+        Job {
+            kind: JobKind::Opp,
+            name: format!("job-{id}"),
+            state: JobState::Running,
+            spec: None,
+            key: format!("opp|key-{id}"),
+            task_names: vec!["a".to_string(), "b".to_string()],
+            rank: vec![1, 0],
+            request_id: format!("req-{id}"),
+            progress: Arc::new(JobProgress::new(CancelToken::new())),
+            trace: traced.then(|| Arc::new(EventStream::new())),
+        }
+    }
+
+    #[test]
+    fn retired_jobs_answer_with_their_documents_until_evicted() {
+        const EXTRA: u64 = 5;
+        let server = Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("binds");
+        let inner = &server.inner;
+        let total = FINISHED_RETENTION as u64 + EXTRA;
+        let mut progress_before = HashMap::new();
+        for id in 1..=total {
+            let job = live_job(id, id % 7 == 0);
+            job.progress.mark_started();
+            let finished = Finished {
+                status: "done",
+                outcome: "feasible".to_string(),
+                report: Some(format!("{{\"decisions\":{id}}}")),
+                placement: Some(render_placement(
+                    &[[0, 0, 0], [2, 0, 1]],
+                    &job.task_names,
+                    &job.rank,
+                )),
+            };
+            // The live view of the finished job, rendered before it
+            // retires.
+            job.progress.mark_finished();
+            let view = job.progress.view(&job.request_id, job.trace.as_deref());
+            progress_before.insert(id, view.to_json(id, "done"));
+            let mut st = inner.state.lock().expect("state lock");
+            let evicted = retire_job(&mut st, id, RetiredJob::new(id, &job, &finished));
+            assert_eq!(
+                evicted.is_some(),
+                id > FINISHED_RETENTION as u64,
+                "job {id}"
+            );
+        }
+        {
+            let st = inner.state.lock().expect("state lock");
+            assert_eq!(st.retired.len(), FINISHED_RETENTION);
+            assert_eq!(st.finished.len(), FINISHED_RETENTION);
+        }
+        for id in 1..=EXTRA {
+            assert_eq!(job_status(inner, id).0, 404, "job {id} was evicted");
+            assert_eq!(job_progress(inner, id).0, 404, "job {id} was evicted");
+            assert_eq!(cancel_job(inner, id).0, 404, "job {id} was evicted");
+        }
+        for id in EXTRA + 1..=total {
+            let expected = format!(
+                "{{\"id\":{id},\"kind\":\"opp\",\"name\":\"job-{id}\",\
+                 \"request_id\":\"req-{id}\",\"status\":\"done\",\
+                 \"outcome\":\"feasible\",\"report\":{{\"decisions\":{id}}},\
+                 \"placement\":\"place a 2 0 1\\nplace b 0 0 0\\n\"}}"
+            );
+            assert_eq!(job_status(inner, id), (200, expected), "job {id}");
+            assert_eq!(
+                job_progress(inner, id),
+                (200, progress_before[&id].clone()),
+                "job {id}"
+            );
+            assert_eq!(cancel_job(inner, id).0, 409, "job {id} is finished");
+        }
+        let listed = Json::parse(&list_jobs(inner)).expect("list parses");
+        let ids: Vec<u64> = listed
+            .get("jobs")
+            .and_then(Json::as_array)
+            .expect("jobs array")
+            .iter()
+            .filter_map(|job| job.get("id").and_then(Json::as_u64))
+            .collect();
+        assert_eq!(ids, (EXTRA + 1..=total).collect::<Vec<_>>());
+        server.shutdown();
+        server.join();
     }
 }

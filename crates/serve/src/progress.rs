@@ -2,22 +2,22 @@
 //! `GET /jobs/{id}/progress` and the opt-in search event stream behind
 //! `GET /jobs/{id}/events`.
 //!
-//! Every job owns a [`JobProgress`]: a handle on the
-//! [`ProgressCounters`] of the solver run it subscribes to (members of a
-//! dedup group share one counter set, each with its own lifecycle
-//! timing). Jobs submitted with `"trace": true` additionally carry an
-//! [`EventStream`], a broadcast fan-out of raw [`SearchEvent`]s to any
-//! number of HTTP subscribers, each with a bounded buffer and an explicit
-//! dropped counter — the serve-side sibling of the CLI's `FileJournal`.
-//! Untraced jobs never allocate a stream and never serialize an event,
-//! per the pay-for-what-you-use telemetry rule.
+//! Every job owns a [`JobProgress`]: the [`CancelToken`] of the solver
+//! run it subscribes to, whose live statistics snapshot the search
+//! publishes every 64 nodes (members of a dedup group share one run, each
+//! with its own lifecycle timing). Jobs submitted with `"trace": true`
+//! additionally install an [`EventStream`], a broadcast fan-out of raw
+//! [`SearchEvent`]s to any number of HTTP subscribers, each with a bounded
+//! buffer and an explicit dropped counter — the serve-side sibling of the
+//! CLI's `FileJournal`. Untraced jobs install no telemetry sink at all.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use recopack_core::{per_second, ProgressCounters, SearchEvent, SolverStats, TelemetrySink};
+use recopack_core::{per_second, CancelToken, LiveSnapshot, PruneRule, SearchEvent, TelemetrySink};
+use recopack_json::Json;
 
 /// Milestones of one job's lifecycle, relative to its submission instant.
 #[derive(Default)]
@@ -26,28 +26,29 @@ struct Timing {
     finished: Option<Instant>,
 }
 
-/// One job's live progress: shared solver counters plus this job's own
-/// queue/solve timing. Cheap to clone out of the job table (`Arc`).
+/// One job's live progress: the shared solver run's live statistics plus
+/// this job's own queue/solve timing. Cheap to clone out of the job table
+/// (`Arc`).
 pub(crate) struct JobProgress {
-    /// Event totals of the solver run this job subscribes to; one set per
-    /// dedup group, shared by every member.
-    counters: Arc<ProgressCounters>,
+    /// Handle of the solver run this job subscribes to; one per dedup
+    /// group, shared by every member. Only read here, never cancelled.
+    run: CancelToken,
     submitted: Instant,
     timing: Mutex<Timing>,
 }
 
 impl JobProgress {
-    pub(crate) fn new(counters: Arc<ProgressCounters>) -> Self {
+    pub(crate) fn new(run: CancelToken) -> Self {
         Self {
-            counters,
+            run,
             submitted: Instant::now(),
             timing: Mutex::new(Timing::default()),
         }
     }
 
-    /// The shared counter set, for joiners attaching to this job's run.
-    pub(crate) fn counters(&self) -> &Arc<ProgressCounters> {
-        &self.counters
+    /// The shared run handle, for joiners attaching to this job's run.
+    pub(crate) fn run(&self) -> &CancelToken {
+        &self.run
     }
 
     /// Marks the solve as started; the first caller wins, so a worker
@@ -107,65 +108,85 @@ impl JobProgress {
         }
     }
 
-    /// The `GET /jobs/{id}/progress` snapshot document.
-    pub(crate) fn to_json(
-        &self,
-        id: u64,
-        status: &str,
-        request_id: &str,
-        trace: Option<&EventStream>,
-    ) -> String {
-        use std::fmt::Write as _;
-        let totals = self.counters.snapshot();
+    /// Captures what `GET /jobs/{id}/progress` reports right now.
+    pub(crate) fn view(&self, request_id: &str, trace: Option<&EventStream>) -> ProgressView {
         let (queue_wait, solve) = self.split();
-        let solve_ms = solve * 1000.0;
-        let mut out =
-            format!("{{\"id\":{id},\"status\":\"{status}\",\"request_id\":\"{request_id}\"");
-        let _ = write!(
-            out,
-            ",\"elapsed_ms\":{:.3},\"queue_wait_ms\":{:.3},\"solve_ms\":{:.3}",
-            self.elapsed() * 1000.0,
-            queue_wait * 1000.0,
-            solve_ms
-        );
-        let _ = write!(
-            out,
-            ",\"nodes\":{},\"events_total\":{},\"events_per_sec\":",
-            totals.branches,
-            totals.total()
-        );
-        match per_second(totals.total(), solve_ms) {
-            Some(rate) => {
-                let _ = write!(out, "{rate:.1}");
-            }
-            None => out.push_str("null"),
+        ProgressView {
+            request_id: request_id.to_string(),
+            live: self.run.live().snapshot(),
+            elapsed: self.elapsed(),
+            queue_wait,
+            solve,
+            trace: trace.map(|stream| (stream.subscriber_count() as u64, stream.dropped())),
         }
-        let _ = write!(
-            out,
-            ",\"searches_finished\":{},\"max_depth\":{},\"depth_profile\":[",
-            self.counters.searches_finished(),
-            totals.max_depth
-        );
-        for (i, count) in self.counters.depth_profile().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{count}");
-        }
-        let _ = write!(out, "],\"events\":{}", totals.to_json());
-        match trace {
-            Some(stream) => {
-                let _ = write!(
-                    out,
-                    ",\"trace\":{{\"subscribers\":{},\"dropped\":{}}}",
-                    stream.subscriber_count(),
-                    stream.dropped()
-                );
-            }
-            None => out.push_str(",\"trace\":null"),
-        }
-        out.push('}');
-        out
+    }
+}
+
+/// The content of one job's `/progress` document at one instant. Cheap to
+/// capture (no formatting), so a retiring job freezes its view under the
+/// state lock and the document is rendered only when someone asks.
+pub(crate) struct ProgressView {
+    request_id: String,
+    live: LiveSnapshot,
+    elapsed: f64,
+    queue_wait: f64,
+    solve: f64,
+    /// Stream subscribers and dropped events, for traced jobs.
+    trace: Option<(u64, u64)>,
+}
+
+impl ProgressView {
+    /// The `GET /jobs/{id}/progress` document.
+    pub(crate) fn to_json(&self, id: u64, status: &str) -> String {
+        let live = &self.live;
+        let ms = |seconds: f64| Json::Number((seconds * 1e6).round() / 1e3);
+        let count = |n: u64| Json::Number(n as f64);
+        let conflicts = PruneRule::ALL
+            .map(|rule| (rule.name().to_string(), count(live.conflicts[rule.index()])))
+            .to_vec();
+        let trace = match self.trace {
+            Some((subscribers, dropped)) => Json::Object(vec![
+                ("subscribers".to_string(), count(subscribers)),
+                ("dropped".to_string(), count(dropped)),
+            ]),
+            None => Json::Null,
+        };
+        let members = [
+            ("id", count(id)),
+            ("status", Json::String(status.to_string())),
+            ("request_id", Json::String(self.request_id.clone())),
+            ("elapsed_ms", ms(self.elapsed)),
+            ("queue_wait_ms", ms(self.queue_wait)),
+            ("solve_ms", ms(self.solve)),
+            ("nodes", count(live.nodes)),
+            (
+                "nodes_per_sec",
+                per_second(live.nodes, self.solve * 1000.0).map_or(Json::Null, |rate| {
+                    Json::Number((rate * 10.0).round() / 10.0)
+                }),
+            ),
+            ("propagation_events", count(live.propagation_events)),
+            ("conflicts", Json::Object(conflicts)),
+            ("searches_finished", count(live.searches_finished)),
+            ("max_depth", count(live.max_depth)),
+            (
+                "depth_profile",
+                Json::Array(
+                    live.depth_profile_trimmed()
+                        .iter()
+                        .map(|&n| count(n))
+                        .collect(),
+                ),
+            ),
+            ("trace", trace),
+        ];
+        Json::Object(
+            members
+                .into_iter()
+                .map(|(key, value)| (key.to_string(), value))
+                .collect(),
+        )
+        .to_json_string()
     }
 }
 
@@ -175,8 +196,8 @@ impl JobProgress {
 const SUBSCRIBER_BUFFER_LINES: usize = 8192;
 
 /// A broadcast fan-out of one solver run's search events to its HTTP
-/// stream subscribers. Installed (via `Fanout`) only for jobs submitted
-/// with `"trace": true`.
+/// stream subscribers. Installed as the run's only telemetry sink, and
+/// only for jobs submitted with `"trace": true`.
 #[derive(Default)]
 pub(crate) struct EventStream {
     subscribers: Mutex<Vec<Arc<Subscriber>>>,
@@ -250,8 +271,6 @@ impl TelemetrySink for EventStream {
             }
         }
     }
-
-    fn search_finished(&self, _stats: &SolverStats) {}
 }
 
 /// One `/jobs/{id}/events` consumer: a bounded line buffer drained by the
@@ -300,9 +319,17 @@ mod tests {
 
     #[test]
     fn progress_snapshot_reports_phases_and_totals() {
-        let progress = JobProgress::new(Arc::new(ProgressCounters::new()));
-        let queued = progress.to_json(7, "queued", "req-9", None);
-        let doc = recopack_json::Json::parse(&queued).expect("snapshot parses");
+        use recopack_core::{Opp, SolverConfig};
+        use recopack_model::{Chip, Instance, Task};
+
+        let config = SolverConfig {
+            use_bounds: false,
+            use_heuristics: false,
+            ..SolverConfig::default()
+        };
+        let progress = JobProgress::new(config.cancel.clone());
+        let queued = progress.view("req-9", None).to_json(7, "queued");
+        let doc = Json::parse(&queued).expect("snapshot parses");
         assert_eq!(doc.get("id").and_then(|v| v.as_u64()), Some(7));
         assert_eq!(doc.get("status").and_then(|v| v.as_str()), Some("queued"));
         assert_eq!(
@@ -310,37 +337,51 @@ mod tests {
             Some("req-9")
         );
         assert_eq!(doc.get("nodes").and_then(|v| v.as_u64()), Some(0));
-        assert_eq!(doc.get("events_per_sec"), Some(&recopack_json::Json::Null));
-        assert_eq!(doc.get("trace"), Some(&recopack_json::Json::Null));
+        assert_eq!(doc.get("nodes_per_sec"), Some(&Json::Null));
+        assert_eq!(doc.get("trace"), Some(&Json::Null));
 
         progress.mark_started();
-        progress.counters().record(&SearchEvent {
-            subtree: 0,
-            depth: 1,
-            t_ns: 0,
-            kind: EventKind::Branch {
-                dim: 0,
-                pair: 0,
-                component: true,
-            },
-        });
+        // Five 2x2x2 tasks in one 4x4 time slot: infeasible by search.
+        let mut builder = Instance::builder().chip(Chip::square(4)).horizon(2);
+        for i in 0..5 {
+            builder = builder.task(Task::new(format!("t{i}"), 2, 2, 2));
+        }
+        let instance = builder.build().expect("valid").with_transitive_closure();
+        let (_, stats) = Opp::new(&instance).with_config(config).solve_with_stats();
         std::thread::sleep(Duration::from_millis(2));
         progress.mark_finished();
         let (queue_wait, solve) = progress.split();
         assert!(queue_wait >= 0.0);
         assert!(solve > 0.0, "solve phase must have accrued");
-        let done = progress.to_json(7, "done", "req-9", None);
-        let doc = recopack_json::Json::parse(&done).expect("snapshot parses");
-        assert_eq!(doc.get("nodes").and_then(|v| v.as_u64()), Some(1));
+        let done = progress.view("req-9", None).to_json(7, "done");
+        let doc = Json::parse(&done).expect("snapshot parses");
+        assert_eq!(doc.get("nodes").and_then(|v| v.as_u64()), Some(stats.nodes));
+        assert_eq!(
+            doc.get("propagation_events").and_then(|v| v.as_u64()),
+            Some(stats.propagation_events)
+        );
+        assert_eq!(
+            doc.get("conflicts")
+                .and_then(|c| c.get("c2"))
+                .and_then(|v| v.as_u64()),
+            Some(stats.c2_conflicts)
+        );
+        assert_eq!(
+            doc.get("searches_finished").and_then(|v| v.as_u64()),
+            Some(1)
+        );
         assert!(doc
-            .get("events_per_sec")
+            .get("nodes_per_sec")
             .and_then(|v| v.as_f64())
             .is_some_and(|rate| rate > 0.0));
-        let profile = doc
+        let profile: Vec<u64> = doc
             .get("depth_profile")
             .and_then(|v| v.as_array())
-            .expect("profile array");
-        assert_eq!(profile.len(), 2, "branches at depth 1: [0, 1]");
+            .expect("profile array")
+            .iter()
+            .filter_map(Json::as_u64)
+            .collect();
+        assert_eq!(profile, stats.depth_histogram);
     }
 
     #[test]

@@ -336,6 +336,27 @@ fn served_opp_job_matches_direct_solve_and_shows_in_metrics() {
     );
     let nodes = metric_value(&exposition, "recopack_solver_nodes_total").expect("nodes series");
     assert_eq!(nodes as u64, direct_stats.nodes);
+    // The solver series are added once per finished job from its exact
+    // statistics.
+    assert_eq!(
+        metric_value(&exposition, "recopack_solver_propagation_events_total"),
+        Some(direct_stats.propagation_events as f64)
+    );
+    for (rule, conflicts) in [
+        ("c2", direct_stats.c2_conflicts),
+        ("c3", direct_stats.c3_conflicts),
+        ("c4", direct_stats.c4_conflicts),
+        ("orientation", direct_stats.orientation_conflicts),
+    ] {
+        assert_eq!(
+            metric_value(
+                &exposition,
+                &format!("recopack_solver_prunes_total{{rule=\"{rule}\"}}")
+            ),
+            Some(conflicts as f64),
+            "{rule}"
+        );
+    }
 
     server.shutdown();
     server.join();
@@ -1130,10 +1151,10 @@ fn traced_job_streams_progress_and_events_and_untraced_runs_stay_pristine() {
     );
     assert!(
         snapshot
-            .get("events_per_sec")
+            .get("nodes_per_sec")
             .and_then(Json::as_f64)
             .is_some_and(|rate| rate > 0.0),
-        "live event rate is reported"
+        "live node rate is reported"
     );
 
     // Let the subscriber observe a real window of the search before
@@ -1183,6 +1204,15 @@ fn traced_job_streams_progress_and_events_and_untraced_runs_stay_pristine() {
     let (status, _, _) = events_conn.read_framed();
     assert_eq!(status, 200, "keep-alive connection survives the stream");
 
+    // Subscribing after the job retired yields its end record alone.
+    events_conn.send("GET", &format!("/jobs/{id}/events"), "");
+    let (status, _, ndjson) = events_conn.read_chunked();
+    assert_eq!(status, 200);
+    assert_eq!(
+        ndjson,
+        format!("{{\"event\":\"end\",\"job\":{id},\"status\":\"cancelled\",\"dropped\":0}}\n")
+    );
+
     // An untraced job is byte-identical to a direct solve: no subscriber
     // or journal overhead leaks into its statistics.
     let mut body =
@@ -1221,6 +1251,89 @@ fn traced_job_streams_progress_and_events_and_untraced_runs_stay_pristine() {
     assert_eq!(status, 404);
     let (status, _) = request(addr, "GET", "/jobs/999999/events", "");
     assert_eq!(status, 404);
+
+    server.shutdown();
+    server.join();
+}
+
+/// The bench suite's `mixed56` instance: five full-height `2x2x2` tasks
+/// plus six unit-duration `2x2x1` tasks on a `4x4` chip with horizon 2 —
+/// infeasible by volume, about 1.4·10⁵ search nodes to refute.
+fn mixed56() -> String {
+    let mut text = String::from("chip 4 4\nhorizon 2\n");
+    for i in 0..5 {
+        text.push_str(&format!("task t{i} 2 2 2\n"));
+    }
+    for i in 0..6 {
+        text.push_str(&format!("task u{i} 2 2 1\n"));
+    }
+    text
+}
+
+#[test]
+fn progress_nodes_are_exact_search_nodes_and_never_overshoot() {
+    let server = bind_test_server(1, 4);
+    let addr = server.local_addr();
+    let mut body = String::from(
+        "{\"kind\":\"opp\",\"name\":\"mixed56\",\"use_bounds\":false,\
+         \"use_heuristics\":false,\"instance\":",
+    );
+    recopack_core::telemetry::push_json_str(&mut body, &mixed56());
+    body.push('}');
+    let (status, reply) = request(addr, "POST", "/jobs", &body);
+    assert_eq!(status, 202, "{reply}");
+    let id = job_id(&reply);
+
+    // Poll while the job runs: readings only ever grow.
+    let mut readings = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let final_doc = loop {
+        let (status, doc) = get_json(addr, &format!("/jobs/{id}/progress"));
+        assert_eq!(status, 200);
+        let nodes = doc.get("nodes").and_then(Json::as_u64).expect("nodes");
+        readings.push(nodes);
+        let word = doc.get("status").and_then(Json::as_str).expect("status");
+        if word != "queued" && word != "running" {
+            break doc;
+        }
+        assert!(Instant::now() < deadline, "job {id} never finished");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    assert!(
+        readings.windows(2).all(|w| w[0] <= w[1]),
+        "progress nodes must be monotone: {readings:?}"
+    );
+
+    let job = poll_job(addr, id, |s| s == "done");
+    let stats_nodes = job
+        .get("report")
+        .and_then(|r| r.get("stats"))
+        .and_then(|s| s.get("nodes"))
+        .and_then(Json::as_u64)
+        .expect("report stats.nodes");
+    assert_eq!(stats_nodes, 135_677, "mixed56 node count is pinned");
+    assert!(
+        readings.iter().all(|&n| n <= stats_nodes),
+        "a mid-run reading exceeded the final count: {readings:?}"
+    );
+    assert_eq!(
+        final_doc.get("nodes").and_then(Json::as_u64),
+        Some(stats_nodes),
+        "finished progress reports the exact search node count"
+    );
+    assert_eq!(
+        final_doc.get("searches_finished").and_then(Json::as_u64),
+        Some(1)
+    );
+    let stats = job
+        .get("report")
+        .and_then(|r| r.get("stats"))
+        .expect("stats");
+    assert_eq!(
+        final_doc.get("propagation_events"),
+        stats.get("propagation_events")
+    );
+    assert_eq!(final_doc.get("conflicts"), stats.get("conflicts"));
 
     server.shutdown();
     server.join();
